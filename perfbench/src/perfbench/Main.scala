@@ -95,6 +95,35 @@ object Main {
 
   def elapsedMs(t0: Long): Double = (System.nanoTime() - t0) / 1e6
 
+  /** One simplifySpark output's per-trajectory count, min and max index
+    * against DuckDB (the repository's test oracle), and its endpoints;
+    * untimed.
+    */
+  def duckDbCheck(spec: Workloads.Spec, s: Setup, seed: Long, out: Outcome): Unit =
+    out.op("spark output aggregate matches DuckDB") {
+      val df = s.spark.simplify(spec.frac, s.agents, spec.params, seed).cache()
+      val agg = df.groupBy("traj_id").agg(count(lit(1)).as("n"), min("idx").as("lo"), max("idx").as("hi"))
+      repro.Oracle.assertEquivalent(agg,
+        "SELECT traj_id, count(*) AS n, min(CAST(idx AS INTEGER)) AS lo, " +
+          "max(CAST(idx AS INTEGER)) AS hi FROM kept GROUP BY traj_id",
+        "kept" -> df)
+      val lens = s.db.iterator.map(tr => tr.id -> tr.length).toMap
+      val rows = agg.collect()
+      df.unpersist()
+      if (rows.length != s.db.length) Some(s"${rows.length} trajectories in the output")
+      else rows.find(r => r.getInt(2) != 0 || r.getInt(3) != lens(r.getLong(0)) - 1)
+        .map(r => s"trajectory ${r.getLong(0)} does not keep both endpoints")
+    }
+
+  /** Collections and milliseconds spent in them since the JVM started, over
+    * all collectors.
+    */
+  def gcTotals(): (Long, Long) = {
+    import scala.jdk.CollectionConverters._
+    val beans = java.lang.management.ManagementFactory.getGarbageCollectorMXBeans.asScala
+    (beans.map(_.getCollectionCount).sum, beans.map(_.getCollectionTime).sum)
+  }
+
   /** Used heap after full collections, before and after building a value
     * that stays reachable: the retained size of what was built.
     */
@@ -109,80 +138,54 @@ object Main {
   }
 }
 
-/** The timed run: set up three times, check the Spark path against DuckDB,
-  * time each path in its own block, then take the measurements that are not
-  * timings.
+/** The timed run: three set-ups, the first followed by warm-up calls and
+  * the other two each by half of the timed loop, then the measurements that
+  * are not timings. Spreading the timed calls over the run, between the
+  * set-ups, lets them sample more of the host's changing speed than one block
+  * at the end would.
   */
 object Timed {
   import Main._
 
-  /** One path's block of the loop: it runs for its share of --seconds and at
-    * least `min` calls; `call(n)` makes the n-th call and records its time
-    * in `samples`.
-    */
-  final class Block(val share: Double, val min: Int, val samples: mutable.ArrayBuffer[Double],
-                    val warmUp: () => Unit, val call: Int => Unit)
+  val setups = 3
 
   def run(spec: Workloads.Spec, args: Args, workDir: Path, out: Outcome): Unit = {
     val tracer = new Tracer(enabled = false)
     val seeds = Workloads.callSeeds(args.seed)
-
-    // ---- set-up three times; setup_s is the median ----
-    val setupS = mutable.ArrayBuffer.empty[Double]
-    val trainS = mutable.ArrayBuffer.empty[Double]
-    var s: Setup = null
-    for (i <- 0 until 3) {
-      val prev = s
-      if (prev != null) prev.close()
-      val t0 = System.nanoTime()
-      s = Setup.build(spec, tracer, workDir)
-      setupS += elapsedMs(t0) / 1e3
-      trainS += s.trainS
-      if (prev != null) {
-        val cur = s
-        out.op(s"set-up ${i + 1} reproduces set-up 1") {
-          if (cur.nPoints != prev.nPoints || cur.w != prev.w) Some("database or budget differs")
-          else if (cur.agents.bestValF1 != prev.agents.bestValF1) Some("trained agents differ")
-          else None
-        }
-      }
-    }
-    val db = s.db
-    val rig = s.spark
-    out.record ++= Seq("n" -> s.nPoints, "w" -> s.w, "trajectories" -> db.length,
-      "call_seeds" -> seeds, "setup_s" -> setupS.toSeq)
-
-    // ---- the timed calls, each checked ----
-    val simplifyMs, sparkMs = mutable.ArrayBuffer.empty[Double]
+    val setupS, setupTrainS = mutable.ArrayBuffer.empty[Double]
+    val simplifyMs, sparkMs, trainS = mutable.ArrayBuffer.empty[Double]
     val hashes, sparkHashes = mutable.LinkedHashMap.empty[Long, String]
     val firstKept = mutable.HashMap.empty[Long, Map[Long, Array[Int]]]
     var sparkKept = -1L
+    var s: Setup = null
 
-    /** Repeated calls with one seed must give one kept-index hash. */
+    /** Repeated calls with one seed must give one kept-index hash, also
+      * across set-ups.
+      */
     def sameHash(seen: mutable.LinkedHashMap[Long, String], seed: Long, h: String): Option[String] =
       seen.get(seed) match {
         case Some(prev) if prev != h => Some(s"kept-index hash $h differs from this seed's first call $prev")
         case _ => seen(seed) = h; None
       }
 
-    def simplifyCall(seed: Long): Unit = out.op(s"simplify seed $seed") {
+    def simplifyCall(seed: Long, times: mutable.ArrayBuffer[Double]): Unit = out.op(s"simplify seed $seed") {
       val t0 = System.nanoTime()
-      val sdb = RL4QDTS.simplify(db, s.w, s.infer, s.cubeNet, s.pointNet, spec.params, seed)
-      simplifyMs += elapsedMs(t0)
-      Checks.exactBudget(db, sdb.kept, s.w, s.nPoints).orElse {
+      val sdb = RL4QDTS.simplify(s.db, s.w, s.infer, s.cubeNet, s.pointNet, spec.params, seed)
+      times += elapsedMs(t0)
+      Checks.exactBudget(s.db, sdb.kept, s.w, s.nPoints).orElse {
         if (!firstKept.contains(seed)) firstKept(seed) = sdb.kept
-        sameHash(hashes, seed, Checks.keptHash(db, sdb.kept))
+        sameHash(hashes, seed, Checks.keptHash(s.db, sdb.kept))
       }
     }
 
-    def sparkCall(seed: Long): Unit = out.op(s"simplifySpark seed $seed") {
+    def sparkCall(seed: Long, times: mutable.ArrayBuffer[Double]): Unit = out.op(s"simplifySpark seed $seed") {
       val t0 = System.nanoTime()
-      val rows = rig.simplify(spec.frac, s.agents, spec.params, seed).collect()
-      sparkMs += elapsedMs(t0)
-      Checks.sparkRows(db, rows, s.w, Workloads.nGroups).orElse {
+      val rows = s.spark.simplify(spec.frac, s.agents, spec.params, seed).collect()
+      times += elapsedMs(t0)
+      Checks.sparkRows(s.db, rows, s.w, Workloads.nGroups).orElse {
         val kept = Checks.keptOf(rows)
         sparkKept = Checks.total(kept)
-        sameHash(sparkHashes, seed, Checks.keptHash(db, kept))
+        sameHash(sparkHashes, seed, Checks.keptHash(s.db, kept))
       }
     }
 
@@ -194,75 +197,96 @@ object Timed {
       else None
     }
 
-    val blocks = Seq(
-      new Block(0.4, 3, simplifyMs, () => simplifyCall(seeds(0)),
-        n => simplifyCall(seeds(n % seeds.length))),
-      new Block(0.3, 3, sparkMs, () => sparkCall(seeds(1)), n => sparkCall(seeds(n % seeds.length))),
-      // the set-ups' training calls warmed training up
-      new Block(0.3, 1, mutable.ArrayBuffer.empty[Double], () => (), _ => trainCall()))
-
-    // ---- the Spark path's output against DuckDB, untimed ----
-    out.op("spark output aggregate matches DuckDB") {
-      val df = rig.simplify(spec.frac, s.agents, spec.params, seeds(0)).cache()
-      val agg = df.groupBy("traj_id").agg(count(lit(1)).as("n"), min("idx").as("lo"), max("idx").as("hi"))
-      repro.Oracle.assertEquivalent(agg,
-        "SELECT traj_id, count(*) AS n, min(CAST(idx AS INTEGER)) AS lo, " +
-          "max(CAST(idx AS INTEGER)) AS hi FROM kept GROUP BY traj_id",
-        "kept" -> df)
-      val lens = db.iterator.map(tr => tr.id -> tr.length).toMap
-      val rows = agg.collect()
-      df.unpersist()
-      if (rows.length != db.length) Some(s"${rows.length} trajectories in the output")
-      else rows.find(r => r.getInt(2) != 0 || r.getInt(3) != lens(r.getLong(0)) - 1)
-        .map(r => s"trajectory ${r.getLong(0)} does not keep both endpoints")
-    }
-    // ---- the timed blocks: each path in turn, after one untimed call that
-    // warms it up (the set-ups ran simplify only on training's small
-    // validation databases), and after a full GC so that no path pays for
-    // the garbage of the one before ----
-    val loop0 = System.nanoTime()
-    for (block <- blocks) {
-      block.warmUp()
-      block.samples.clear()
-      System.gc()
+    var nSimplify, nSpark = 0
+    /** The timed paths with their shares of the loop's time. */
+    val paths: IndexedSeq[(Double, () => Unit)] = IndexedSeq(
+      0.5 -> { () => simplifyCall(seeds(nSimplify % seeds.length), simplifyMs); nSimplify += 1 },
+      0.25 -> { () => sparkCall(seeds(nSpark % seeds.length), sparkMs); nSpark += 1 },
+      0.25 -> { () => trainCall() })
+    val spentMs = new Array[Double](paths.length)
+    val untimed = mutable.ArrayBuffer.empty[Double]
+    var loopMs = 0.0
+    var gcCount, gcMs = 0L
+    for (i <- 0 until setups) {
+      // ---- a set-up; setup_s is the median of the three ----
+      val prev = s
+      if (prev != null) prev.release()
       val t0 = System.nanoTime()
-      var n = 0
-      while (n < block.min || elapsedMs(t0) < block.share * args.seconds * 1e3) {
-        block.call(n)
-        n += 1
+      s = Setup.build(spec, tracer, workDir)
+      setupS += elapsedMs(t0) / 1e3
+      setupTrainS += s.trainS
+      // the warm set-ups' training calls are samples of train_s too
+      if (prev != null) trainS += s.trainS
+      if (prev == null) {
+        // warm-up, untimed: the set-up ran simplify only on training's small
+        // validation databases, and a simplifySpark call keeps getting
+        // faster over its first few calls, the first of each seed slowest.
+        // The loop starts after the second set-up, which gives the JIT
+        // compiler time to finish the first one's backlog
+        simplifyCall(seeds(0), untimed)
+        seeds.foreach(sparkCall(_, untimed))
+      } else {
+        val cur = s
+        out.op(s"set-up ${i + 1} reproduces set-up 1") {
+          if (cur.nPoints != prev.nPoints || cur.w != prev.w) Some("database or budget differs")
+          else if (cur.agents.bestValF1 != prev.agents.bestValF1) Some("trained agents differ")
+          else None
+        }
+        // the first call on a newly cached database is slower
+        sparkCall(seeds(1), untimed)
+        System.gc()
+
+        // ---- half of the timed loop. The paths take turns: the next call
+        // goes to the path furthest below its share of the loop's time, and
+        // every path is called at least once ----
+        val gc0 = gcTotals()
+        val loop0 = System.nanoTime()
+        while (elapsedMs(loop0) < args.seconds * 1e3 / (setups - 1) || spentMs.contains(0.0)) {
+          val path = paths.indices.minBy(p => spentMs(p) / paths(p)._1)
+          val c0 = System.nanoTime()
+          paths(path)._2()
+          spentMs(path) += elapsedMs(c0)
+        }
+        loopMs += elapsedMs(loop0)
+        val gc1 = gcTotals(); gcCount += gc1._1 - gc0._1; gcMs += gc1._2 - gc0._2
       }
     }
-    val loopS = elapsedMs(loop0) / 1e3
+    val db = s.db
+    out.record ++= Seq("n" -> s.nPoints, "w" -> s.w, "trajectories" -> db.length,
+      "call_seeds" -> seeds, "setup_s" -> setupS.toSeq, "setup_train_s" -> setupTrainS.toSeq)
+    val loopS = loopMs / 1e3
 
     // ---- measurements that are not timings ----
-    val heapMb = retainedMb(() => new QdtsEnv(db, s.infer, spec.params))
+    val heapMbs = (0 until 3).map(_ => retainedMb(() => new QdtsEnv(db, s.infer, spec.params)))
     val f1s = seeds.flatMap(seed => firstKept.get(seed).map(k => Checks.rangeF1(db, k, s.evalQs, s.evalGt)))
     require(f1s.nonEmpty, "no successful simplify call to score")
     val (tailPct, tailMs) = Stats.tail(simplifyMs.toSeq)
     s.close()
 
     out.metric("setup_s", Stats.median(setupS.toSeq), "s")
-    out.metric("simplify_ms.p50", Stats.median(simplifyMs.toSeq), "ms")
-    out.metric("simplify_ms.tail", tailMs, "ms")
+    out.metric("simplify_ms.min", simplifyMs.min, "ms")
     out.metric("range_f1", f1s.sum / f1s.length, "F1")
-    out.metric("env_heap_mb", heapMb, "MB")
-    out.metric("spark_simplify_ms.p50", Stats.median(sparkMs.toSeq), "ms")
-    out.metric("train_s.p50", Stats.median(trainS.toSeq), "s")
+    out.metric("env_heap_mb", Stats.median(heapMbs), "MB")
+    out.metric("spark_simplify_ms.min", sparkMs.min, "ms")
+    out.metric("train_s.min", trainS.min, "s")
     out.metric("val_f1", s.agents.bestValF1, "F1")
     out.record ++= Seq(
-      "loop_s" -> loopS,
-      "simplify_ms" -> simplifyMs.toSeq, "simplify_ms.tail_percentile" -> tailPct,
+      "loop_s" -> loopS, "loop_gc_count" -> gcCount, "loop_gc_ms" -> gcMs,
+      "simplify_ms" -> simplifyMs.toSeq, "simplify_ms.p50" -> Stats.median(simplifyMs.toSeq),
+      "simplify_ms.tail" -> tailMs, "simplify_ms.tail_percentile" -> tailPct,
       "kept_hash" -> hashes.toSeq.map { case (k, v) => k.toString -> v },
-      "spark_simplify_ms" -> sparkMs.toSeq,
+      "spark_simplify_ms" -> sparkMs.toSeq, "spark_simplify_ms.p50" -> Stats.median(sparkMs.toSeq),
       "spark_kept_hash" -> sparkHashes.toSeq.map { case (k, v) => k.toString -> v },
       "spark_kept_minus_budget" -> (sparkKept - s.w),
-      "train_s" -> trainS.toSeq, "range_f1_per_seed" -> f1s)
+      "train_s" -> trainS.toSeq, "train_s.p50" -> Stats.median(trainS.toSeq),
+      "env_heap_mb" -> heapMbs, "range_f1_per_seed" -> f1s)
   }
 }
 
 /** The traced run: the set-up once, the traced replica of the policy loop
   * (each call paired with an untraced one) cycled for --seconds seconds, the
-  * Bottom-Up baseline, then a few Spark calls under a task listener.
+  * Bottom-Up baseline, a few Spark calls under a task listener, then the
+  * Spark output against DuckDB.
   */
 object Traced {
   import Main._
@@ -343,6 +367,7 @@ object Traced {
       keptMinus += rows.length - s.w
       Checks.sparkRows(db, rows, s.w, Workloads.nGroups)
     }
+    duckDbCheck(spec, s, seeds(0), out)
     s.close()
 
     // ---- per-layer metrics, per traced call ----

@@ -101,10 +101,14 @@ final class SparkRig(val session: SparkSession, val points: DataFrame) {
     RL4QDTS.simplifySpark(points, frac, agents.cubeNet.snapshot, agents.pointNet.snapshot, params,
       Workloads.nGroups, Workloads.nQueries, Workloads.querySizeXY, seed)
 
+  /** Drops the cached points and keeps the session for the next set-up. */
+  def release(): Unit = points.unpersist(blocking = true)
+
   def close(): Unit = session.stop()
 }
 
 object SparkRig {
+  /** Starts the session, or reuses the one a released rig left running. */
   def start(db: Array[Traj], workDir: Path): SparkRig = {
     val session = SparkSession.builder
       .master(s"local[${Workloads.nGroups}]")
@@ -123,7 +127,8 @@ object SparkRig {
 /** Everything one set-up of a workload produces: the database and its
   * budget, agents trained with `trainConfig`, the inference query workload
   * the environment is built with, a held-out evaluation workload with its
-  * ground truth, and a Spark session with the database cached.
+  * ground truth, and a Spark session with the database cached. A set-up
+  * after a released one reuses its Spark session.
   */
 final class Setup(val db: Array[Traj], val w: Int,
                   val agents: Training.TrainedAgents, val trainS: Double,
@@ -133,6 +138,8 @@ final class Setup(val db: Array[Traj], val w: Int,
   // agents.cubeNet/pointNet rebuild the network on every access
   val cubeNet: repro.rl.MLP = agents.cubeNet
   val pointNet: repro.rl.MLP = agents.pointNet
+
+  def release(): Unit = spark.release()
 
   def close(): Unit = spark.close()
 }
