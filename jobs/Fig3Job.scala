@@ -1,9 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.baselines.Baselines
 import repro.exp.Experiments
-import repro.queries.Quality
 
 /** spark-submit entrypoint for the Fig. 3 table: all 25 EDTS baseline
   * adaptations + RL4QDTS on the five query tasks (data distribution).
@@ -13,26 +11,8 @@ object Fig3Job {
   def main(args: Array[String]): Unit = {
     val spark = SparkSession.builder.appName("repro-fig3").getOrCreate()
     val db = Experiments.benchDb(if (args.nonEmpty) args(0).toInt else 100)
-    val ev = new Experiments.Evaluator(db, "data")
-    val n = repro.core.Model.totalPoints(db)
-    val w = math.max(2 * db.length + 10, (0.0025 * n).toInt)
-    val rlts = Experiments.trainRltsBaselines()
-    val agents = Experiments.trainAgents()
-
-    val rows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
-    for (m <- Baselines.all(rlts)) {
-      val f1 = ev.evaluate(m.simplify(db, w))
-      rows += Seq(m.name, f"${f1.range}%.3f", f"${f1.knnEdr}%.3f", f"${f1.knnEmbed}%.3f",
-        f"${f1.similarity}%.3f", f"${f1.clustering}%.3f")
-    }
-    val sims = Experiments.runRl4qdts(db, w, ev, agents, "data", 3, seed = 31337)
-    val f1s = sims.map(ev.evaluate)
-    rows += Seq("RL4QDTS",
-      f"${Quality.mean(f1s.map(_.range))}%.3f", f"${Quality.mean(f1s.map(_.knnEdr))}%.3f",
-      f"${Quality.mean(f1s.map(_.knnEmbed))}%.3f", f"${Quality.mean(f1s.map(_.similarity))}%.3f",
-      f"${Quality.mean(f1s.map(_.clustering))}%.3f")
-    Experiments.printTable("Fig 3 (as table) — F1 at W=0.25%N, data distribution",
-      Seq("method", "range", "kNN-EDR", "kNN-emb", "similarity", "clustering"), rows.toSeq)
+    Experiments.fig3(new Experiments.Evaluator(db, "data"), Experiments.trainAgents(),
+      Experiments.trainRltsBaselines(), rlRuns = 3)._1.print()
     spark.stop()
   }
 }

@@ -1,39 +1,21 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.baselines.{BottomUp, TopDown}
 import repro.exp.Experiments
-import repro.queries.Quality
-import repro.traj.ErrorMeasures.{DAD, PED, SED}
 
-/** spark-submit entrypoint for the Fig. 4 table: RL4QDTS vs the skyline
-  * baselines across storage budgets (data distribution, range-query F1).
+/** spark-submit entrypoint for the Fig. 4 tables: RL4QDTS vs the skyline
+  * baselines across storage budgets, five query tasks under the data
+  * distribution and range queries under the Gaussian distribution.
   * Usage: Fig4Job [nTrajs]
   */
 object Fig4Job {
   def main(args: Array[String]): Unit = {
     val spark = SparkSession.builder.appName("repro-fig4").getOrCreate()
     val db = Experiments.benchDb(if (args.nonEmpty) args(0).toInt else 100)
-    val ev = new Experiments.Evaluator(db, "data")
-    val n = repro.core.Model.totalPoints(db)
     val agents = Experiments.trainAgents()
-    val skyline = Seq[(String, (Array[repro.core.Traj], Int) => repro.core.SimpleDB)](
-      ("Top-Down(E,PED)", (d, w) => TopDown.simplifyE(PED, d, w)),
-      ("Top-Down(W,PED)", (d, w) => TopDown.simplifyW(PED, d, w)),
-      ("Bottom-Up(W,PED)", (d, w) => BottomUp.simplifyW(PED, d, w)),
-      ("Bottom-Up(E,DAD)", (d, w) => BottomUp.simplifyE(DAD, d, w)),
-      ("Bottom-Up(E,SED)", (d, w) => BottomUp.simplifyE(SED, d, w)))
-    val rows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
-    for (b <- Seq(0.0025, 0.005, 0.01, 0.02)) {
-      val w = math.max(2 * db.length + 10, (b * n).toInt)
-      for ((name, f) <- skyline)
-        rows += Seq(f"${b * 100}%.2f%%", name, f"${ev.rangeF1(f(db, w))}%.3f")
-      val rl = Quality.mean(
-        Experiments.runRl4qdts(db, w, ev, agents, "data", 3, seed = 5150).map(ev.rangeF1))
-      rows += Seq(f"${b * 100}%.2f%%", "RL4QDTS", f"$rl%.3f")
-    }
-    Experiments.printTable("Fig 4 (as table) — range-query F1 vs budget",
-      Seq("budget", "method", "range F1"), rows.toSeq)
+    Experiments.fig4Data(new Experiments.Evaluator(db, "data"), agents, runs = 3)._1.print()
+    Experiments.fig4Gauss(new Experiments.Evaluator(db, "gaussian"), agents,
+      Experiments.trainRltsBaselines(), runs = 3)._1.print()
     spark.stop()
   }
 }

@@ -1,42 +1,20 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.baselines.{BottomUp, TopDown}
-import repro.core.Model
-import repro.data.TrajGen
 import repro.exp.Experiments
-import repro.traj.ErrorMeasures.{PED, SED}
 
-/** spark-submit entrypoint for the Fig. 8 table: running time vs database
-  * size (OSM-like, fixed r) for RL4QDTS and the skyline methods.
+/** spark-submit entrypoint for the Fig. 8 tables: running time vs database
+  * size (OSM-like, fixed r) and vs budget (the bench database) for RL4QDTS
+  * and the skyline methods.
   * Usage: Fig8Job [sizes, comma-separated trajectory counts]
   */
 object Fig8Job {
   def main(args: Array[String]): Unit = {
     val spark = SparkSession.builder.appName("repro-fig8").getOrCreate()
-    val sizes = if (args.nonEmpty) args(0).split(",").map(_.toInt).toSeq else Seq(100, 200, 400, 800)
+    val sizes = if (args.nonEmpty) args(0).split(",").map(_.toInt).toSeq else Experiments.fig8Sizes
     val agents = Experiments.trainAgents()
-    val rows = scala.collection.mutable.ArrayBuffer.empty[Seq[String]]
-    for (nTrajs <- sizes) {
-      val db = TrajGen.genLocal(TrajGen.osm, nTrajs, 777)
-      val n = Model.totalPoints(db)
-      val w = math.max(2 * db.length + 10, (0.02 * n).toInt)
-      val (_, _, _, _, tmin, tmax) = Model.bounds(db)
-      val wl = repro.queries.Workload.dataDist(db, 100, 2000, math.max(tmax - tmin, 1.0), 778)
-      val methods = Seq[(String, () => repro.core.SimpleDB)](
-        ("Top-Down(E,PED)", () => TopDown.simplifyE(PED, db, w)),
-        ("Top-Down(W,PED)", () => TopDown.simplifyW(PED, db, w)),
-        ("Bottom-Up(E,SED)", () => BottomUp.simplifyE(SED, db, w)),
-        ("Bottom-Up(W,PED)", () => BottomUp.simplifyW(PED, db, w)),
-        ("RL4QDTS", () => repro.core.RL4QDTS.simplify(db, w, wl,
-          agents.cubeNet, agents.pointNet, Experiments.benchParams, seed = 1)))
-      for ((name, f) <- methods) {
-        val (_, t) = Experiments.time(f())
-        rows += Seq(s"$n", name, f"$t%.2f")
-      }
-    }
-    Experiments.printTable("Fig 8 (as table) — time (s) vs N, r=2%",
-      Seq("N (points)", "method", "time (s)"), rows.toSeq)
+    Experiments.fig8a(agents, sizes)._1.print()
+    Experiments.fig8b(Experiments.benchDb(), agents)._1.print()
     spark.stop()
   }
 }

@@ -1,9 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.RL4QDTS
 import repro.exp.Experiments
-import repro.queries.Quality
 
 /** spark-submit entrypoint for Table II: the RL4QDTS ablation study
   * (range-query F1 and wall time for the four agent configurations).
@@ -14,23 +12,7 @@ object TableIIJob {
     val spark = SparkSession.builder.appName("repro-table2").getOrCreate()
     val db = Experiments.benchDb(if (args.nonEmpty) args(0).toInt else 100)
     val runs = if (args.length > 1) args(1).toInt else 5
-    val ev = new Experiments.Evaluator(db, "data")
-    val agents = Experiments.trainAgents()
-    val n = repro.core.Model.totalPoints(db)
-    val w = math.max(2 * db.length + 10, (0.0025 * n).toInt)
-    val variants = Seq(
-      ("RL4QDTS", RL4QDTS.Variant(useCube = true, usePoint = true)),
-      ("w/o Agent-Cube", RL4QDTS.Variant(useCube = false, usePoint = true)),
-      ("w/o Agent-Point", RL4QDTS.Variant(useCube = true, usePoint = false)),
-      ("w/o Agent-Cube and Agent-Point", RL4QDTS.Variant(useCube = false, usePoint = false)))
-    val rows = variants.map { case (name, v) =>
-      val (sims, t) = Experiments.time(
-        Experiments.runRl4qdts(db, w, ev, agents, "data", runs, seed = 4242, variant = v))
-      val f1s = sims.map(ev.rangeF1)
-      Seq(name, f"${Quality.mean(f1s)}%.3f ± ${Quality.stddev(f1s)}%.3f", f"${t / runs}%.2f")
-    }
-    Experiments.printTable("Table II — ablation (repro)",
-      Seq("variant", "range F1", "time/run (s)"), rows)
+    Experiments.tableII(new Experiments.Evaluator(db, "gaussian"), Experiments.trainAgents(), runs)._1.print()
     spark.stop()
   }
 }

@@ -1,7 +1,6 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.data.TrajGen
 import repro.exp.Experiments
 
 /** spark-submit entrypoint for Table I: dataset statistics of the four
@@ -11,21 +10,10 @@ import repro.exp.Experiments
 object TableIJob {
   def main(args: Array[String]): Unit = {
     val spark = SparkSession.builder.appName("repro-table1").getOrCreate()
-    val n = if (args.nonEmpty) args(0).toInt else 200
-    val paper = Map(
-      "geolife" -> ("17621", "24876978", "1412", "1s~5s", "9.96"),
-      "tdrive" -> ("10359", "17740902", "1713", "177s", "623"),
-      "chengdu" -> ("179756", "32151865", "178", "2s~4s", "25"),
-      "osm" -> ("513380", "2913478785", "5675", "53.5s", "180"))
-    val rows = Seq("geolife", "tdrive", "chengdu", "osm").map { name =>
-      val s = TrajGen.stats(TrajGen.genDF(spark, TrajGen.profiles(name), n, 42))
-      val p = paper(name)
-      Seq(name, s"${p._1} / ${s.nTrajs}", s"${p._2} / ${s.totalPoints}",
-        f"${p._3} / ${s.avgPtsPerTraj}%.0f", f"${p._4} / ${s.avgSamplingSec}%.1fs",
-        f"${p._5} / ${s.avgSegmentMeters}%.1f")
-    }
-    Experiments.printTable("Table I — dataset statistics (paper / repro)",
-      Seq("dataset", "#trajs", "total pts", "pts/traj", "sampling", "seg len (m)"), rows)
+    val sizes =
+      if (args.nonEmpty) Experiments.tableISizes.transform((_, _) => args(0).toInt)
+      else Experiments.tableISizes
+    Experiments.tableI(spark, sizes)._1.print()
     spark.stop()
   }
 }

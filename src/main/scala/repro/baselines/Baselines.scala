@@ -14,8 +14,9 @@ object Baselines {
   /** A named database simplifier: (db, totalBudget) => SimpleDB. */
   final case class NamedMethod(name: String, simplify: (Array[Traj], Int) => SimpleDB)
 
-  /** All 24 non-RLTS+ static adaptations + Span-Search = 17 methods; RLTS+
-    * adaptations require trained policies, supplied via `rlts`.
+  /** The 16 Top-Down/Bottom-Up adaptations + Span-Search = 17 methods, and
+    * 25 with the 8 RLTS+ adaptations, which require trained policies supplied
+    * via `rlts`.
     */
   def all(rlts: Map[Measure, RltsPlus] = Map.empty): Seq[NamedMethod] = {
     val stat = for {

@@ -19,22 +19,33 @@ object RL4QDTS {
 
   final case class Variant(useCube: Boolean = true, usePoint: Boolean = true) extends Serializable
 
-  /** Agent-Cube traversal (Algorithm 2) with a trained policy network. */
+  /** Agent-Cube traversal (Algorithm 2) from `start`: at each non-leaf cube
+    * `act` picks an action from the cube's state and valid-action mask —
+    * 0–7 descends into that child, 8 stops. Returns the cube it stopped in.
+    * Inference passes the masked argmax, training its ε-greedy choice.
+    */
+  private[core] def traverse(env: QdtsEnv, start: OctNode)(
+      act: (Array[Double], Array[Boolean]) => Int): OctNode = {
+    var node = start
+    var stop = false
+    while (!stop && !node.isLeaf) {
+      val a = act(env.cubeState(node), env.cubeMask(node))
+      if (a == 8) stop = true else node = node.children(a)
+    }
+    node
+  }
+
+  /** Agent-Cube traversal with a trained policy network. */
   private def chooseCube(env: QdtsEnv, rng: java.util.Random, cubeNet: MLP,
                          variant: Variant): OctNode = {
     // w/o Agent-Cube: a random cube drawn from the *data* distribution is
     // handed straight to Agent-Point (the paper's ablation setup)
-    var node = env.sampleStartNode(rng, byQuery = variant.useCube)
-    if (!variant.useCube) return node
-    var stop = false
-    while (!stop && !node.isLeaf) {
-      val s = env.cubeState(node)
-      val mask = env.cubeMask(node)
+    val start = env.sampleStartNode(rng, byQuery = variant.useCube)
+    if (!variant.useCube) start
+    else traverse(env, start) { (s, mask) =>
       val q = cubeNet.forward(s)
-      val a = mask.indices.filter(mask).maxBy(q)
-      if (a == 8) stop = true else node = node.children(a)
+      mask.indices.filter(mask).maxBy(q)
     }
-    node
   }
 
   /** Agent-Point choice (Algorithm 3) with a trained policy network. */

@@ -81,13 +81,12 @@ object Training {
         agents.bestPoint = Some(agents.point.online.snapshot)
       }
     }
-    // transitions of the current Δ-window: (state, action, reward, nextState,
-    // nextMask, done) for Agent-Cube and (state, action, reward, mask) for
-    // Agent-Point. Only the *terminal* transition of a cube traversal carries
-    // a reward — a traversal leads to exactly one insertion, so paying every
-    // descend step would double-count it and bias the policy toward descending.
-    val pendCube = ArrayBuffer.empty[(Array[Double], Int, Double, Array[Double], Array[Boolean], Boolean)]
-    val pendPoint = ArrayBuffer.empty[(Array[Double], Int, Double, Array[Boolean])]
+    // transitions of the current Δ-window. Only the *terminal* transition of
+    // a cube traversal carries a reward — a traversal leads to exactly one
+    // insertion, so paying every descend step would double-count it and bias
+    // the policy toward descending.
+    val pendCube = ArrayBuffer.empty[Transition]
+    val pendPoint = ArrayBuffer.empty[Transition]
 
     for (dbIdx <- 0 until cfg.nDbs) {
       val db = TrajGen.genLocal(cfg.profile, cfg.trajsPerDb, cfg.seed + 1000L * (dbIdx + 1))
@@ -106,12 +105,8 @@ object Training {
         def flushWindow(): Unit = {
           // move the window's transitions to replay and take learning steps —
           // the paper's Δ-cadence of "perform the queries, acquire rewards"
-          pendCube.foreach { case (s, a, r, s2, m2, done) =>
-            agents.cube.remember(Transition(s, a, r, s2, m2, done))
-          }
-          pendPoint.foreach { case (s, a, r, m) =>
-            agents.point.remember(Transition(s, a, r, new Array[Double](s.length), m, done = true))
-          }
+          pendCube.foreach(agents.cube.remember)
+          pendPoint.foreach(agents.point.remember)
           pendCube.clear(); pendPoint.clear()
           var i = 0
           while (i < cfg.trainStepsPerWindow) {
@@ -126,12 +121,8 @@ object Training {
 
         while (env.insertedCount < target) {
           // ---- Agent-Cube traversal (ε-greedy) ----
-          var node = env.sampleStartNode(rng)
           val steps = ArrayBuffer.empty[(Array[Double], Int, Array[Boolean])]
-          var stop = false
-          while (!stop && !node.isLeaf) {
-            val s = env.cubeState(node)
-            val mask = env.cubeMask(node)
+          val node = RL4QDTS.traverse(env, env.sampleStartNode(rng)) { (s, mask) =>
             // stop-balanced ε-exploration: uniform random over 9 actions
             // explores "stop" only 1/9 of the time, starving the terminal
             // action of experience; sample it half the time instead
@@ -144,7 +135,7 @@ object Training {
                 }
               } else agents.cube.selectAction(s, mask, explore = false)
             steps += ((s, a, mask))
-            if (a == 8) stop = true else node = node.children(a)
+            a
           }
           // ---- Agent-Point (ε-greedy) ----
           val cands = env.candidates(node)
@@ -159,7 +150,7 @@ object Training {
             val before = env.diff
             env.insertPoint(c.trajIdx, c.ptIdx)
             val r = (before - env.diff) * cfg.rewardScale
-            pendPoint += ((ps, pa, r, pmask))
+            pendPoint += Transition(ps, pa, r, new Array[Double](ps.length), pmask, done = true)
             // chain the traversal's transitions; only the terminal one (the
             // stop that led to this insertion) carries the reward
             var i = 0
@@ -167,9 +158,9 @@ object Training {
               val (s, a, _) = steps(i)
               if (i + 1 < steps.length) {
                 val (s2, _, m2) = steps(i + 1)
-                pendCube += ((s, a, 0.0, s2, m2, false))
+                pendCube += Transition(s, a, 0.0, s2, m2, done = false)
               } else {
-                pendCube += ((s, a, r, new Array[Double](16), Array.fill(9)(false), true))
+                pendCube += Transition(s, a, r, new Array[Double](16), Array.fill(9)(false), done = true)
               }
               i += 1
             }

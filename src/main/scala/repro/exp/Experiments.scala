@@ -1,11 +1,12 @@
 package repro.exp
 
+import scala.collection.mutable
+import scala.collection.mutable.ArrayBuffer
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.TrajGen
 import repro.baselines.{Baselines, RltsPlus}
 import repro.queries._
-import repro.rl.MLP
 import repro.traj.ErrorMeasures.Measure
 
 /** Shared experiment harness used by the `bench` suites (one per paper table)
@@ -92,19 +93,16 @@ object Experiments {
     * quality measures). Built once per (db, distribution) and reused across
     * methods so every method faces identical queries.
     */
-  final class Evaluator(val db: Array[Traj], workloadKind: String, seed: Long = 2024,
+  final class Evaluator(val db: Array[Traj], val workloadKind: String, seed: Long = 2024,
                         nRange: Int = 100, nKnn: Int = 8, nSim: Int = 10,
                         knnK: Int = 3, clusterTrajs: Int = 150) {
-
-    private val (xmin, xmax, ymin, ymax, tmin, tmax) = Model.bounds(db)
-    private val span = math.max(tmax - tmin, 1.0)
 
     // --- range queries (paper: 2km x 2km x 7 days ~= the whole span) ---
     // rejection-sample to non-empty ground truths: data-distribution queries
     // are non-empty by construction, and empty-result queries score F1=1 for
     // every method, only diluting the measure
     val rangeQs: Array[Box] = {
-      val raw = Workload.generate(workloadKind, db, nRange * 4, 2000.0, span, seed)
+      val raw = Workload.generate(workloadKind, db, nRange * 4, 2000.0, span(db), seed)
       val nonEmpty = raw.filter(q => RangeQuery.inMemory(db, q).nonEmpty)
       (if (nonEmpty.length >= nRange) nonEmpty else raw).take(nRange)
     }
@@ -185,15 +183,255 @@ object Experiments {
     }
   }
 
-  /** Run RL4QDTS with trained nets; convenience for benches. */
-  def runRl4qdts(db: Array[Traj], w: Int, ev: Evaluator, agents: Training.TrainedAgents,
+  /** The storage budget of every experiment: `r·N` points, but at least
+    * both endpoints of every trajectory plus a small margin.
+    */
+  def budget(db: Array[Traj], r: Double): Int =
+    math.max(2 * db.length + 10, (r * Model.totalPoints(db)).toInt)
+
+  /** Temporal extent of a database (at least one second). */
+  private def span(db: Array[Traj]): Double = {
+    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+    math.max(tmax - tmin, 1.0)
+  }
+
+  /** Run RL4QDTS `runs` times with trained nets under an inference-time
+    * synthetic workload of the given kind (not the evaluation queries!).
+    */
+  def runRl4qdts(db: Array[Traj], w: Int, agents: Training.TrainedAgents,
                  workloadKind: String, runs: Int, seed: Long = 9999,
                  variant: RL4QDTS.Variant = RL4QDTS.Variant()): Seq[SimpleDB] = {
-    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
-    // inference-time synthetic workload (not the evaluation queries!)
-    val wl = Workload.generate(workloadKind, db, 100, 2000.0, math.max(tmax - tmin, 1.0), seed + 1)
+    val wl = Workload.generate(workloadKind, db, 100, 2000.0, span(db), seed + 1)
     RL4QDTS.simplifyRuns(db, w, wl, agents.cubeNet, agents.pointNet, benchParams,
       runs, seed, variant)
+  }
+
+  // ---- the paper's experiments, one function each, shared by the bench
+  // suites (which add the shape assertions) and the spark-submit jobs ----
+
+  /** One experiment's result table. */
+  final case class Table(title: String, header: Seq[String], rows: Seq[Seq[String]]) {
+    def print(): String = printTable(title, header, rows)
+  }
+
+  /** The budgets of the Fig. 4 sweep and Fig. 8(b), as fractions of N. */
+  val budgets: Seq[Double] = Seq(0.0025, 0.005, 0.01, 0.02)
+
+  /** Trajectories per profile in Table I (relative structure of the paper's datasets). */
+  val tableISizes: Map[String, Int] = Map("geolife" -> 300, "tdrive" -> 200, "chengdu" -> 800, "osm" -> 200)
+
+  /** Trajectory counts of the Fig. 8(a) OSM-like databases. */
+  val fig8Sizes: Seq[Int] = Seq(100, 200, 400, 800)
+
+  private def requireKind(ev: Evaluator, kind: String): Unit =
+    require(ev.workloadKind == kind, s"this experiment evaluates under the $kind workload, not ${ev.workloadKind}")
+
+  /** The named catalog methods, in the given order. */
+  private def methods(rlts: Map[Measure, RltsPlus], names: String*): Seq[Baselines.NamedMethod] = {
+    val byName = Baselines.all(rlts).map(m => m.name -> m).toMap
+    names.map(byName)
+  }
+
+  /** Table I: statistics of the four generated profiles next to the paper's
+    * (generated with Spark, aggregated with Spark SQL window functions).
+    * Returns the table and the statistics per profile.
+    */
+  def tableI(spark: SparkSession, sizes: Map[String, Int]): (Table, Map[String, TrajGen.Stats]) = {
+    // (profile, paper name, #trajs, total points, pts/traj, sampling, avg seg len)
+    val paper = Seq(
+      ("geolife", "Geolife", 17621L, 24876978L, 1412.0, "1s~5s", 9.96),
+      ("tdrive", "T-Drive", 10359L, 17740902L, 1713.0, "177s", 623.0),
+      ("chengdu", "Chengdu", 179756L, 32151865L, 178.0, "2s~4s", 25.0),
+      ("osm", "OSM", 513380L, 2913478785L, 5675.0, "53.5s", 180.0))
+    val stats = paper.map { case (name, _, _, _, _, _, _) =>
+      val df = TrajGen.genDF(spark, TrajGen.profiles(name), sizes(name), seed = 42).cache()
+      val s = TrajGen.stats(df)
+      df.unpersist()
+      name -> s
+    }.toMap
+    val rows = paper.map { case (name, pName, pTr, pPts, pAvg, pSamp, pSeg) =>
+      val s = stats(name)
+      Seq(pName,
+        s"$pTr / ${s.nTrajs}",
+        s"$pPts / ${s.totalPoints}",
+        f"$pAvg%.0f / ${s.avgPtsPerTraj}%.0f",
+        f"$pSamp / ${s.avgSamplingSec}%.1fs",
+        f"$pSeg%.1f / ${s.avgSegmentMeters}%.1f")
+    }
+    (Table("Table I — dataset statistics (paper / repro)",
+      Seq("dataset", "#trajs", "total pts", "pts/traj", "sampling", "seg len (m)"), rows), stats)
+  }
+
+  /** Table II: the ablation of Agent-Cube and Agent-Point at W = 0.25%N,
+    * range-query F1 under the Gaussian workload, next to the paper's numbers
+    * (1.5M-point Geolife). The ablation contrasts query-aware cube sampling
+    * with data-distribution sampling; under the data workload the synthetic
+    * queries coincide with the data density and the contrast collapses at
+    * repro scale (see EXPERIMENTS.md). Returns the table and each variant's
+    * mean F1 and time per run (s).
+    */
+  def tableII(ev: Evaluator, agents: Training.TrainedAgents,
+              runs: Int): (Table, Map[String, Double], Map[String, Double]) = {
+    requireKind(ev, "gaussian")
+    val w = budget(ev.db, 0.0025)
+    val measured = Seq(
+      ("RL4QDTS", 0.733, 0.018, 61.11, RL4QDTS.Variant(useCube = true, usePoint = true)),
+      ("w/o Agent-Cube", 0.673, 0.023, 50.32, RL4QDTS.Variant(useCube = false, usePoint = true)),
+      ("w/o Agent-Point", 0.716, 0.021, 59.31, RL4QDTS.Variant(useCube = true, usePoint = false)),
+      ("w/o Agent-Cube and Agent-Point", 0.641, 0.023, 48.18, RL4QDTS.Variant(useCube = false, usePoint = false))
+    ).map { case (name, pf, ps, pt, variant) =>
+      val (sims, t) = time(runRl4qdts(ev.db, w, agents, "gaussian", runs, seed = 4242, variant = variant))
+      val f1s = sims.map(ev.rangeF1)
+      val (mf, mt) = (Quality.mean(f1s), t / runs)
+      (name, mf, mt, Seq(name, f"$pf%.3f ± $ps%.3f", f"$mf%.3f ± ${Quality.stddev(f1s)}%.3f", f"$pt%.2f", f"$mt%.2f"))
+    }
+    (Table("Table II — ablation (range-query F1, Gaussian workload)",
+      Seq("variant", "paper F1", "repro F1", "paper time (s)", "repro time (s)"), measured.map(_._4)),
+      measured.map(m => m._1 -> m._2).toMap, measured.map(m => m._1 -> m._3).toMap)
+  }
+
+  /** Fig. 3: all 25 baseline adaptations plus RL4QDTS on the five query tasks
+    * at W = 0.25%N under the data distribution. Returns the table, each
+    * baseline's F1 and RL4QDTS's mean F1 over `rlRuns` runs.
+    */
+  def fig3(ev: Evaluator, agents: Training.TrainedAgents, rlts: Map[Measure, RltsPlus],
+           rlRuns: Int): (Table, Seq[(String, TaskF1)], TaskF1) = {
+    requireKind(ev, "data")
+    val db = ev.db
+    val w = budget(db, 0.0025)
+    val base = Baselines.all(rlts).map { m =>
+      val (s, tSimp) = time(m.simplify(db, w))
+      val (f1, tEval) = time(ev.evaluate(s))
+      Console.err.println(f"[fig3] ${m.name}%-22s ${f1.fmt} (simplify $tSimp%.1fs eval $tEval%.1fs)")
+      (m.name, f1)
+    }
+    val (sims, tRl) = time(runRl4qdts(db, w, agents, "data", rlRuns, seed = 31337))
+    val f1s = sims.map(ev.evaluate)
+    val rl = TaskF1(
+      Quality.mean(f1s.map(_.range)), Quality.mean(f1s.map(_.knnEdr)),
+      Quality.mean(f1s.map(_.knnEmbed)), Quality.mean(f1s.map(_.similarity)),
+      Quality.mean(f1s.map(_.clustering)))
+    Console.err.println(f"[fig3] RL4QDTS ${rl.fmt} (${tRl / rlRuns}%.1fs/run)")
+    val rows = (base :+ ("RL4QDTS" -> rl)).map { case (n, f) =>
+      n +: Seq(f.range, f.knnEdr, f.knnEmbed, f.similarity, f.clustering).map(v => f"$v%.3f")
+    }
+    (Table(s"Fig 3 (as table) — F1 at W=0.25%N, data distribution (${db.length} trajs)",
+      Seq("method", "range", "kNN-EDR", "kNN-emb", "similarity", "clustering"), rows), base, rl)
+  }
+
+  /** One budget sweep: each skyline method, then RL4QDTS (mean over `runs`),
+    * scored by `score` (range F1 first). Returns the rows and, per budget,
+    * RL4QDTS's and the best skyline method's range F1.
+    */
+  private def sweep(ev: Evaluator, agents: Training.TrainedAgents, runs: Int, seed: Long,
+                    skyline: Seq[Baselines.NamedMethod], score: SimpleDB => Seq[Double])
+      : (Seq[Seq[String]], Map[Double, Double], Map[Double, Double]) = {
+    val db = ev.db
+    val rows = ArrayBuffer.empty[Seq[String]]
+    val rl, best = mutable.Map.empty[Double, Double]
+    for (b <- budgets) {
+      val w = budget(db, b)
+      def row(name: String, f1s: Seq[Double]): Unit =
+        rows += f"${b * 100}%.2f%%" +: name +: f1s.map(v => f"$v%.3f")
+      best(b) = skyline.map { m =>
+        val f1s = score(m.simplify(db, w))
+        row(m.name, f1s)
+        f1s.head
+      }.max
+      val sims = runRl4qdts(db, w, agents, ev.workloadKind, runs, seed + (b * 1000).toInt)
+      val f1s = sims.map(score).transpose.map(Quality.mean)
+      row("RL4QDTS", f1s)
+      rl(b) = f1s.head
+    }
+    (rows.toSeq, rl.toMap, best.toMap)
+  }
+
+  /** Fig. 4 (a–e analogue): RL4QDTS against the paper's data-distribution
+    * skyline over the budgets 0.25%–2%N, five query tasks. Returns the table
+    * and, per budget, RL4QDTS's and the best skyline method's range F1.
+    */
+  def fig4Data(ev: Evaluator, agents: Training.TrainedAgents,
+               runs: Int): (Table, Map[Double, Double], Map[Double, Double]) = {
+    requireKind(ev, "data")
+    val skyline = methods(Map.empty, "Top-Down(E,PED)", "Top-Down(W,PED)", "Bottom-Up(W,PED)",
+      "Bottom-Up(E,DAD)", "Bottom-Up(E,SED)")
+    val (rows, rl, best) = sweep(ev, agents, runs, 5150, skyline, s => {
+      val f = ev.evaluate(s)
+      Seq(f.range, f.knnEdr, f.knnEmbed, f.similarity, f.clustering)
+    })
+    (Table("Fig 4 (as table) — budget sweep on Geolife-like, data distribution",
+      Seq("budget", "method", "range", "kNN-EDR", "kNN-emb", "similarity", "clustering"), rows), rl, best)
+  }
+
+  /** Fig. 4 (f–j analogue): range-query F1 of RL4QDTS against the paper's
+    * Gaussian skyline over the same budgets (RLTS+ comes from `rlts`).
+    * Returns the table and, per budget, RL4QDTS's and the best skyline
+    * method's range F1.
+    */
+  def fig4Gauss(ev: Evaluator, agents: Training.TrainedAgents, rlts: Map[Measure, RltsPlus],
+                runs: Int): (Table, Map[Double, Double], Map[Double, Double]) = {
+    requireKind(ev, "gaussian")
+    val skyline = methods(rlts, "Bottom-Up(E,SED)", "RLTS+(E,SED)", "Bottom-Up(E,PED)", "Top-Down(E,PED)")
+    val (rows, rl, best) = sweep(ev, agents, runs, 616, skyline, s => Seq(ev.rangeF1(s)))
+    (Table("Fig 4 (as table) — range-query budget sweep, Gaussian distribution",
+      Seq("budget", "method", "range F1"), rows), rl, best)
+  }
+
+  /** The Fig. 8 methods: the Top-Down and Bottom-Up skyline adaptations and
+    * RL4QDTS with the density-adaptive start level (the paper scales S with
+    * the database size).
+    */
+  private def fig8Methods(agents: Training.TrainedAgents, workload: Array[Box]): Seq[Baselines.NamedMethod] =
+    methods(Map.empty, "Top-Down(E,PED)", "Top-Down(W,PED)", "Bottom-Up(E,SED)", "Bottom-Up(W,PED)") :+
+      Baselines.NamedMethod("RL4QDTS", (d, w) => RL4QDTS.simplify(
+        d, w, workload, agents.cubeNet, agents.pointNet, paramsFor(Model.totalPoints(d)), seed = 1))
+
+  /** Time one method on one budget, checking that it kept the budget. */
+  private def timed(m: Baselines.NamedMethod, db: Array[Traj], w: Int): Double = {
+    val (s, t) = time(m.simplify(db, w))
+    require(s.totalPoints <= w + db.length, s"${m.name} kept ${s.totalPoints} points over budget $w")
+    t
+  }
+
+  /** Fig. 8(a): running time vs database size on OSM-like databases of
+    * `sizes` trajectories at r = 2%. Returns the table and each method's
+    * times (s) in size order.
+    */
+  def fig8a(agents: Training.TrainedAgents, sizes: Seq[Int]): (Table, Map[String, List[Double]]) = {
+    val rows = ArrayBuffer.empty[Seq[String]]
+    val times = mutable.Map.empty[String, List[Double]].withDefaultValue(Nil)
+    for (nTrajs <- sizes) {
+      val db = TrajGen.genLocal(TrajGen.osm, nTrajs, seed = 777)
+      val n = Model.totalPoints(db)
+      val w = budget(db, 0.02)
+      val wl = Workload.dataDist(db, 100, 2000, span(db), 778)
+      for (m <- fig8Methods(agents, wl)) {
+        val t = timed(m, db, w)
+        times(m.name) = times(m.name) :+ t
+        rows += Seq(s"$n", m.name, f"$t%.2f")
+      }
+    }
+    (Table("Fig 8(a) (as table) — time (s) vs N on OSM-like, r=2%",
+      Seq("N (points)", "method", "time (s)"), rows.toSeq), times.toMap)
+  }
+
+  /** Fig. 8(b): running time vs budget on `db`. Returns the table and the
+    * time (s) per (method, budget).
+    */
+  def fig8b(db: Array[Traj], agents: Training.TrainedAgents): (Table, Map[(String, Double), Double]) = {
+    val wl = Workload.dataDist(db, 100, 2000, span(db), 881)
+    val rows = ArrayBuffer.empty[Seq[String]]
+    val times = mutable.Map.empty[(String, Double), Double]
+    for (b <- budgets) {
+      val w = budget(db, b)
+      for (m <- fig8Methods(agents, wl)) {
+        val t = timed(m, db, w)
+        times((m.name, b)) = t
+        rows += Seq(f"${b * 100}%.2f%%", m.name, f"$t%.2f")
+      }
+    }
+    (Table("Fig 8(b) (as table) — time (s) vs W on Geolife-like",
+      Seq("budget", "method", "time (s)"), rows.toSeq), times.toMap)
   }
 
   def time[A](f: => A): (A, Double) = {

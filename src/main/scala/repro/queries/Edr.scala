@@ -23,7 +23,7 @@ object Edr {
     if (n == 0) return m.toDouble
     if (m == 0) return n.toDouble
     var prev = Array.tabulate(m + 1)(_.toDouble)
-    val cur = new Array[Double](m + 1)
+    var cur = new Array[Double](m + 1)
     var i = 1
     while (i <= n) {
       cur(0) = i.toDouble
@@ -34,9 +34,7 @@ object Edr {
         cur(j) = math.min(math.min(prev(j) + 1, cur(j - 1) + 1), prev(j - 1) + cost)
         j += 1
       }
-      val tmp = prev.clone()
-      Array.copy(cur, 0, prev, 0, m + 1)
-      Array.copy(tmp, 0, cur, 0, m + 1)
+      val tmp = prev; prev = cur; cur = tmp
       i += 1
     }
     prev(m)
