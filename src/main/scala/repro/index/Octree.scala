@@ -5,8 +5,9 @@ import repro.core.{Box, Point, Traj}
 
 /** A node of the adaptive octree. `level` is 1-based as in the paper (the
   * root cube is B_1^1). A node is a leaf until its point count exceeds
-  * `leafCap` and it is below `maxDepth`; leaves hold their points, internal
-  * nodes hold statistics only.
+  * `leafCap` and it is below `maxDepth`. No node holds points: the points of
+  * its subtree are the range `[lo, hi)` of the tree's flat `codes` array, and
+  * the children's ranges tile the parent's in child order.
   *
   * Per-node statistics:
   *  - `m` — number of distinct trajectories with >=1 point in the cube (the
@@ -21,9 +22,12 @@ final class OctNode(val level: Int, val box: Box) {
   var q: Int = 0
   var remaining: Int = 0
   var nPoints: Int = 0
+  var lo: Int = 0 // this subtree's range [lo, hi) of Octree.codes
+  var hi: Int = 0
   private[index] var lastTraj: Long = -1L
   var children: Array[OctNode] = _ // null while leaf
-  private[index] var pts: ArrayBuffer[Long] = new ArrayBuffer[Long]() // (trajIdx<<32)|ptIdx
+  // a leaf's codes while the tree is built (the first nPoints entries); null after
+  private[index] var buf: Array[Long] = _
 
   def isLeaf: Boolean = children == null
 }
@@ -94,26 +98,56 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
       n = n.children(childIndex(n.box, p))
       bump(n, trajIdx)
     }
-    n.pts += ((trajIdx.toLong << 32) | (ptIdx.toLong & 0xffffffffL))
-    if (n.pts.length > leafCap && n.level < maxDepth) split(n)
+    append(n, (trajIdx.toLong << 32) | (ptIdx.toLong & 0xffffffffL))
+    if (n.nPoints > leafCap && n.level < maxDepth) split(n)
+  }
+
+  /** Store `code` as the last of leaf `n`'s nPoints codes (already counted). */
+  private def append(n: OctNode, code: Long): Unit = {
+    if (n.buf == null) n.buf = new Array[Long](math.min(leafCap + 1, 16))
+    else if (n.buf.length < n.nPoints) n.buf = java.util.Arrays.copyOf(n.buf, 2 * n.buf.length)
+    n.buf(n.nPoints - 1) = code
   }
 
   private def split(n: OctNode): Unit = {
     n.children = Array.tabulate(8)(ci => new OctNode(n.level + 1, childBox(n.box, ci)))
     // push points down in insertion order so the last-seen-trajectory M trick
     // stays valid for the children
-    val old = n.pts; n.pts = null
+    val old = n.buf; n.buf = null
     var i = 0
-    while (i < old.length) {
+    while (i < n.nPoints) {
       val code = old(i)
       val ti = (code >>> 32).toInt; val pi = (code & 0xffffffffL).toInt
       val p = db(ti).points(pi)
-      var c = n.children(childIndex(n.box, p))
+      val c = n.children(childIndex(n.box, p))
       bump(c, ti)
-      while (!c.isLeaf) { c = c.children(childIndex(c.box, p)); bump(c, ti) }
-      c.pts += code
+      append(c, code)
       i += 1
     }
+  }
+
+  /** Every point as `(trajIdx << 32) | ptIdx`, in depth-first leaf order
+    * (within a leaf, in (trajectory, index) order). Node `n`'s points are
+    * `codes(n.lo until n.hi)`.
+    */
+  private[repro] val codes: Array[Long] = {
+    val out = new Array[Long](root.nPoints)
+    def layout(n: OctNode, start: Int): Int = {
+      n.lo = start
+      if (n.isLeaf) {
+        if (n.nPoints > 0) System.arraycopy(n.buf, 0, out, start, n.nPoints)
+        n.buf = null
+        n.hi = start + n.nPoints
+      } else {
+        var end = start
+        var c = 0
+        while (c < 8) { end = layout(n.children(c), end); c += 1 }
+        n.hi = end
+      }
+      n.hi
+    }
+    layout(root, 0)
+    out
   }
 
   /** Register a workload query: increments Q on every node containing its centre. */
@@ -137,11 +171,9 @@ final class Octree(val db: Array[Traj], val maxDepth: Int, val leafCap: Int = 32
     out.toIndexedSeq
   }
 
-  /** All (trajIdx, ptIdx) pairs in the subtree of `n`. */
-  def pointsIn(n: OctNode): Iterator[(Int, Int)] = {
-    if (n.isLeaf) n.pts.iterator.map(c => ((c >>> 32).toInt, (c & 0xffffffffL).toInt))
-    else n.children.iterator.flatMap(pointsIn)
-  }
+  /** All (trajIdx, ptIdx) pairs in the subtree of `n`, in `codes` order. */
+  def pointsIn(n: OctNode): Iterator[(Int, Int)] =
+    Iterator.range(n.lo, n.hi).map { i => val c = codes(i); ((c >>> 32).toInt, c.toInt) }
 
   /** Mark a point as inserted into the simplified database: decrements
     * `remaining` along its root-to-leaf path.

@@ -1,13 +1,15 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropSupport, SparkSpec}
 import repro.data.TrajGen
+import repro.index.OctNode
 import repro.queries.{Quality, RangeQuery, Workload}
 
 /** Environment tests: incremental F1 bookkeeping, candidate values, states,
   * masks, start-level sampling.
   */
-class QdtsEnvSpec extends SparkSpec {
+class QdtsEnvSpec extends SparkSpec with PropSupport {
 
   private val params = QdtsParams(startLevel = 3, maxLevel = 6, k = 2, delta = 10, leafCap = 8)
 
@@ -16,6 +18,114 @@ class QdtsEnvSpec extends SparkSpec {
     val (_, _, _, _, tmin, tmax) = Model.bounds(db)
     val wl = Workload.dataDist(db, nQ, 2000, tmax - tmin, seed + 1)
     new QdtsEnv(db, wl, params)
+  }
+
+  /** The candidate scan before v_s was cached: a full pass over the cube with
+    * v_s and v_t recomputed from each point's anchors, best per trajectory in
+    * a map, then sorted. Kept as the reference `candidates` must equal.
+    */
+  private def referenceCandidates(env: QdtsEnv, node: OctNode): Array[env.Candidate] = {
+    val best = scala.collection.mutable.HashMap.empty[Int, env.Candidate]
+    val it = env.octree.pointsIn(node)
+    while (it.hasNext) {
+      val (ti, pi) = it.next()
+      if (!env.isInserted(ti, pi)) {
+        val (vs, vt) = referencePointValues(env, ti, pi)
+        best.get(ti) match {
+          case Some(c) if c.vs >= vs => ()
+          case _                     => best(ti) = env.Candidate(ti, pi, vs, vt)
+        }
+      }
+    }
+    best.values.toArray.sortBy(c => (-c.vs, c.trajIdx)).take(env.params.k)
+  }
+
+  private def referencePointValues(env: QdtsEnv, ti: Int, pi: Int): (Double, Double) = {
+    val kept = env.keptIndices(ti)
+    val tr = env.db(ti)
+    val pa = tr.points(kept.filter(_ < pi).max); val pb = tr.points(kept.filter(_ > pi).min)
+    val p = tr.points(pi)
+    val vs = repro.traj.ErrorMeasures.sed(pa, pb, p)
+    val dx = pb.x - pa.x; val dy = pb.y - pa.y
+    val len2 = dx * dx + dy * dy
+    val u = if (len2 == 0) 0.0
+            else math.max(0.0, math.min(1.0, ((p.x - pa.x) * dx + (p.y - pa.y) * dy) / len2))
+    (vs, math.abs(p.t - (pa.t + u * (pb.t - pa.t))))
+  }
+
+  private def allNodes(n: OctNode): Seq[OctNode] =
+    n +: (if (n.isLeaf) Seq.empty else n.children.toSeq.flatMap(allNodes))
+
+  /** Small databases on a coarse grid, so v_s ties are common: 1- and
+    * 2-point trajectories, and runs of identical consecutive points.
+    */
+  private val genDb: Gen[Array[Traj]] = {
+    val genTraj = for {
+      len <- Gen.frequency(1 -> Gen.const(1), 1 -> Gen.const(2), 4 -> Gen.choose(3, 30))
+      x0 <- Gen.choose(0, 20); y0 <- Gen.choose(0, 20)
+      steps <- Gen.listOfN(len - 1, Gen.zip(Gen.choose(-3, 3), Gen.choose(-3, 3), Gen.choose(0, 2),
+        Gen.frequency(1 -> true, 3 -> false)))
+    } yield steps.scanLeft(Point(x0, y0, 0)) { case (p, (dx, dy, dt, repeat)) =>
+      if (repeat) p else Point(p.x + dx, p.y + dy, p.t + dt)
+    }.toArray
+    Gen.choose(1, 8).flatMap(n => Gen.listOfN(n, genTraj))
+      .map(_.zipWithIndex.map { case (pts, i) => Traj(i, pts) }.toArray)
+  }
+
+  private def genBoxes(db: Array[Traj]): Gen[Array[Box]] = {
+    val (xmin, xmax, ymin, ymax, tmin, tmax) = Model.bounds(db)
+    val genBox = for {
+      cx <- Gen.choose(xmin - 2, xmax + 2); cy <- Gen.choose(ymin - 2, ymax + 2)
+      ct <- Gen.choose(tmin - 2, tmax + 2)
+      hx <- Gen.choose(0.0, 8.0); hy <- Gen.choose(0.0, 8.0); ht <- Gen.choose(0.0, 20.0)
+    } yield Box(cx - hx, cx + hx, cy - hy, cy + hy, ct - ht, ct + ht)
+    Gen.choose(0, 12).flatMap(n => Gen.listOfN(n, genBox)).map(_.toArray)
+  }
+
+  private val genParams: Gen[QdtsParams] = for {
+    k <- Gen.choose(1, 3); leafCap <- Gen.choose(1, 6); maxLevel <- Gen.choose(1, 5)
+    startLevel <- Gen.choose(1, maxLevel)
+  } yield QdtsParams(startLevel = startLevel, maxLevel = maxLevel, k = k, delta = 10, leafCap = leafCap)
+
+  test("a new QdtsEnv rejects an empty database") {
+    val e = intercept[IllegalArgumentException](new QdtsEnv(Array.empty[Traj], Array.empty[Box], params))
+    assert(e.getMessage.contains("non-empty database"))
+  }
+
+  test("ground truth through the octree equals a scan of every point") {
+    val gen = for { db <- genDb; wl <- genBoxes(db); p <- genParams } yield (db, wl, p)
+    forAllN(gen, n = 150) { case (db, wl, p) =>
+      val env = new QdtsEnv(db, wl, p)
+      for (qi <- wl.indices; ti <- db.indices)
+        assert(env.gt(qi)(ti) === db(ti).points.exists(wl(qi).contains), s"query $qi traj $ti")
+    }
+    // and on a generated database with its own workload
+    val env = mkEnv(nTrajs = 12, nQ = 30)
+    for (qi <- env.workload.indices; ti <- env.db.indices)
+      assert(env.gt(qi)(ti) === env.db(ti).points.exists(env.workload(qi).contains))
+  }
+
+  test("candidates equal the full-scan reference at every node after random insertions") {
+    val gen = for {
+      db <- genDb; wl <- genBoxes(db); p <- genParams; seed <- Gen.choose(0L, 1L << 40)
+    } yield (db, wl, p, seed)
+    forAllN(gen, n = 150) { case (db, wl, p, seed) =>
+      val env = new QdtsEnv(db, wl, p)
+      val rng = new java.util.Random(seed)
+      val n = db.map(_.length).sum
+      val nodes = allNodes(env.octree.root)
+      def check(): Unit = for (node <- nodes)
+        assert(env.candidates(node).toSeq === referenceCandidates(env, node).toSeq,
+          s"node at level ${node.level} with ${node.remaining} remaining")
+      check()
+      for (_ <- 0 until 2) {
+        for (_ <- 0 until rng.nextInt(n + 1)) {
+          val ti = rng.nextInt(db.length)
+          env.insertPoint(ti, rng.nextInt(db(ti).length))
+        }
+        check()
+      }
+    }
   }
 
   test("initial D' contains exactly the endpoints") {

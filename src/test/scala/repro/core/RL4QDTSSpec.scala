@@ -80,6 +80,46 @@ class RL4QDTSSpec extends SparkSpec {
     assert(hi >= lo - 0.05, s"lo=$lo hi=$hi")
   }
 
+  // Fixed-seed outputs recorded before the candidate scan and the start-cube
+  // frontier were made incremental; any change to what the loop computes
+  // shows up here.
+  test("fixed-seed simplify reproduces the recorded kept indices") {
+    val db = TrajGen.genLocal(TrajGen.chengdu, 20, 31)
+    val (_, _, _, _, tmin, tmax) = Model.bounds(db)
+    val wl = Workload.dataDist(db, 20, 2000, tmax - tmin, 32)
+    val w = 2 * db.length + 150
+    def digest(v: RL4QDTS.Variant): String = {
+      val s = RL4QDTS.simplify(db, w, wl, agents.cubeNet, agents.pointNet, params, seed = 41, variant = v)
+      assert(s.totalPoints === w)
+      val text = db.map(tr => s"${tr.id}:${s.kept(tr.id).mkString(",")}").mkString(";")
+      java.security.MessageDigest.getInstance("SHA-256").digest(text.getBytes("UTF-8"))
+        .take(8).map(b => f"${b & 0xff}%02x").mkString
+    }
+    assert(digest(RL4QDTS.Variant()) === "75e9ed8ab7f43df1")
+    // data-distribution start cubes, greedy max-v_s insertion
+    assert(digest(RL4QDTS.Variant(useCube = false, usePoint = false)) === "146072f4085d60d4")
+  }
+
+  test("a database of 1- and 2-point trajectories keeps every endpoint and meets the budget") {
+    val db = Array(
+      Traj(0, Array(Point(0, 0, 0))),
+      Traj(1, Array(Point(5, 5, 0), Point(6, 6, 10))),
+      Traj(2, Array(Point(3, 1, 2))),
+      Traj(3, Array(Point(1, 4, 1), Point(1, 4, 1))),
+      Traj(4, Array(Point(0, 0, 0), Point(2, 3, 1), Point(4, 1, 2), Point(9, 9, 3))))
+    val wl = Array(Box(0, 10, 0, 10, 0, 10), Box(1, 3, 1, 3, 0, 2))
+    for (w <- Seq(1, 8, 9, 100)) {
+      val s = RL4QDTS.simplify(db, w, wl, agents.cubeNet, agents.pointNet, params, seed = 3)
+      for (tr <- db) {
+        val kept = s.kept(tr.id)
+        assert(kept.head === 0 && kept.last === tr.length - 1, s"w=$w traj ${tr.id}")
+        assert(kept.toSeq === kept.distinct.sorted.toSeq)
+      }
+      // endpoints alone take 8 of the 10 points
+      assert(s.totalPoints === math.min(math.max(w, 8), 10), s"w=$w")
+    }
+  }
+
   test("simplifyRuns returns the requested number of runs") {
     val (db, wl) = setup(nTrajs = 5)
     val runs = RL4QDTS.simplifyRuns(db, 2 * db.length + 10, wl,

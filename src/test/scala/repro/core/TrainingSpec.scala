@@ -16,6 +16,12 @@ class TrainingSpec extends SparkSpec {
 
   private lazy val trained = Training.train(cfg)
 
+  test("a fixed training config reproduces the recorded validation F1") {
+    // recorded before the candidate scan was made incremental
+    val a = Training.train(cfg.copy(profile = TrajGen.geolife, budgetFrac = 0.02, querySizeXY = 300))
+    assert(a.bestValF1 === 0.8666666666666667)
+  }
+
   test("makeAgents builds the paper's architectures") {
     val a = Training.makeAgents(params)
     assert(a.cube.stateDim === 16 && a.cube.nActions === 9)

@@ -146,6 +146,31 @@ class OctreeSpec extends SparkSpec {
     assert(math.abs(childVol - parentVol) <= math.abs(parentVol) * 1e-9)
   }
 
+  test("every node's code range holds its points, and children tile it in order") {
+    for ((db, depth, cap) <- Seq((grid(16), 5, 4), (TrajGen.genLocal(TrajGen.chengdu, 10, 7), 6, 8),
+                                 (TrajGen.genLocal(TrajGen.chengdu, 4, 3), 4, 1))) {
+      val ot = new Octree(db, depth, cap)
+      assert(ot.root.lo === 0 && ot.root.hi === ot.codes.length)
+      def check(n: OctNode): Unit = {
+        assert(n.hi - n.lo === n.nPoints)
+        if (!n.isLeaf) {
+          assert(n.children.head.lo === n.lo && n.children.last.hi === n.hi)
+          for (c <- 0 until 7) assert(n.children(c).hi === n.children(c + 1).lo)
+          n.children.foreach(check)
+        }
+      }
+      check(ot.root)
+    }
+  }
+
+  test("pointsIn(root) is the depth-first leaf walk, each leaf in insertion order") {
+    // recorded from the tree whose leaves held their own point lists
+    val ot = new Octree(grid(4), 5, 4)
+    assert(ot.pointsIn(ot.root).toSeq === Seq(
+      (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (0, 3), (0, 4), (1, 3), (1, 4),
+      (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (2, 3), (2, 4), (3, 3), (3, 4)))
+  }
+
   test("octree of a single-point database works") {
     val db = Array(Traj(0, Array(Point(1, 2, 3))))
     val ot = new Octree(db, 5, 4)
